@@ -7,6 +7,10 @@ cargo fmt --all -- --check
 cargo build --release --workspace
 cargo test -q --workspace
 cargo test -q --workspace --doc
+# The benchmark harness (perfbench/, its own package) calls the library
+# APIs directly; its self-test on a 14-day scenario makes an API change
+# that breaks the benchmark fail here rather than at benchmark time.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -144,52 +144,44 @@ impl Attributor {
     /// attribution paths funnel through here so they intern producers in
     /// an identical order and produce identical credit streams.
     fn for_each_credit(&mut self, block: &Block, mut emit: impl FnMut(ProducerId, f64)) {
-        let addresses: Vec<String> = block
-            .coinbase
-            .payout_addresses
-            .iter()
-            .map(|a| a.as_str().to_string())
-            .collect();
+        let addresses = &block.coinbase.payout_addresses;
 
         // Pool identification is a property of the whole block (one tag,
         // one primary identity); per-address credit applies to the payout
         // addresses of blocks that are NOT pool-identified, and to pool
         // blocks it credits the pool once.
-        let tag_pool: Option<String> = block
+        let tag_pool: Option<&str> = block
             .coinbase
             .tag
             .as_deref()
-            .and_then(|t| self.tags.match_tag(self.chain, t))
-            .map(str::to_string);
-        let addr_pool: Option<String> = addresses
+            .and_then(|t| self.tags.match_tag(self.chain, t));
+        let addr_pool: Option<&str> = addresses
             .first()
-            .and_then(|a| self.tags.match_address(self.chain, a))
-            .map(str::to_string);
+            .and_then(|a| self.tags.match_address(self.chain, a.as_str()));
         if tag_pool.is_some() {
             self.tag_hits += 1;
         } else if addr_pool.is_some() {
             self.address_hits += 1;
         }
-        let pool_name = tag_pool.or(addr_pool);
 
-        match (&pool_name, self.mode) {
+        match (tag_pool.or(addr_pool), self.mode) {
             (Some(pool), _) => emit(self.registry.intern(pool), 1.0),
             (None, AttributionMode::FirstAddress) => {
                 self.fallbacks += 1;
                 let first = addresses.first().expect("validated non-empty coinbase"); // blockdec-lint: allow(panic) — block validation rejects empty coinbase address lists before attribution runs
-                emit(self.registry.intern(first), 1.0);
+                emit(self.registry.intern(first.as_str()), 1.0);
             }
             (None, AttributionMode::PerAddress) => {
                 self.fallbacks += 1;
-                for a in &addresses {
-                    emit(self.registry.intern(a), 1.0);
+                for a in addresses {
+                    emit(self.registry.intern(a.as_str()), 1.0);
                 }
             }
             (None, AttributionMode::Fractional) => {
                 self.fallbacks += 1;
                 let w = 1.0 / addresses.len() as f64;
-                for a in &addresses {
-                    emit(self.registry.intern(a), w);
+                for a in addresses {
+                    emit(self.registry.intern(a.as_str()), w);
                 }
             }
         }

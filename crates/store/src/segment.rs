@@ -360,6 +360,13 @@ fn parse_index_region(region: &[u8], index_off: usize, what: &str) -> Result<Seg
 
 /// Encode rows into the segment byte format.
 pub fn encode_segment(rows: &[RowRecord]) -> Vec<u8> {
+    encode_segment_with_filter(rows).0
+}
+
+/// [`encode_segment`], also returning the segment-level producer bloom
+/// filter it wrote into the index block, so the manifest stamp reuses
+/// the same build.
+fn encode_segment_with_filter(rows: &[RowRecord]) -> (Vec<u8>, ProducerFilter) {
     assert!(!rows.is_empty(), "cannot encode an empty segment");
     assert!(rows.len() <= SEGMENT_ROWS, "segment over capacity");
     let n = rows.len();
@@ -406,12 +413,13 @@ pub fn encode_segment(rows: &[RowRecord]) -> Vec<u8> {
         bloom.encode_into(&mut out);
     }
     let producers: Vec<u32> = rows.iter().map(|r| r.producer).collect();
-    ProducerFilter::from_producers(&producers).encode_into(&mut out);
+    let filter = ProducerFilter::from_producers(&producers);
+    filter.encode_into(&mut out);
     let index_crc = crc32(&out[index_off as usize..]);
     out.extend_from_slice(&index_crc.to_le_bytes());
     out.extend_from_slice(&index_off.to_le_bytes());
     push_footer(&mut out);
-    out
+    (out, filter)
 }
 
 /// Encode one page group's seven column pages.
@@ -953,7 +961,7 @@ pub fn write_segment_file(
     rows: &[RowRecord],
 ) -> Result<SegmentStamp> {
     let timer = blockdec_obs::Timer::new("store.segment_write");
-    let bytes = encode_segment(rows);
+    let (bytes, producers) = encode_segment_with_filter(rows);
     let crc = footer_crc(&bytes).expect("freshly encoded segment has a footer"); // blockdec-lint: allow(panic) — encode_segment just wrote the footer it is hashing
     store.put_atomic(name, &bytes)?;
     let elapsed_ms = timer.stop() * 1e3;
@@ -965,11 +973,7 @@ pub fn write_segment_file(
         elapsed_ms = elapsed_ms;
         "wrote segment"
     );
-    let producers: Vec<u32> = rows.iter().map(|r| r.producer).collect();
-    Ok(SegmentStamp {
-        crc,
-        producers: ProducerFilter::from_producers(&producers),
-    })
+    Ok(SegmentStamp { crc, producers })
 }
 
 /// Read and decode a segment object from the backend (transient read

@@ -392,14 +392,7 @@ impl BlockStore {
     fn check_order(&mut self, rows: &[RowRecord]) -> Result<()> {
         let mut last = self.last_height;
         for r in rows {
-            if let Some(prev) = last {
-                if r.height < prev {
-                    return Err(StoreError::InvalidAppend(format!(
-                        "height {} after {prev}: appends must be height-ordered",
-                        r.height
-                    )));
-                }
-            }
+            check_height(last, r.height)?;
             if r.producer as usize >= self.registry.len() {
                 return Err(StoreError::InvalidAppend(format!(
                     "producer id {} not in dictionary (len {})",
@@ -416,69 +409,117 @@ impl BlockStore {
     /// Append raw rows (producer ids must already be interned via
     /// [`Self::intern_producer`]). Heights must be non-decreasing across
     /// the store's lifetime.
+    ///
+    /// Full segments are sealed eagerly to bound memory: a partially
+    /// filled buffer is topped up to one segment first, then every whole
+    /// [`SEGMENT_ROWS`] slice is sealed straight from `rows`, and only
+    /// the tail is copied into the buffer.
     pub fn append_rows(&mut self, rows: &[RowRecord]) -> Result<()> {
         self.check_order(rows)?;
-        self.active.extend_from_slice(rows);
-        // Seal full segments eagerly to bound memory.
-        while self.active.len() >= SEGMENT_ROWS {
-            let rest = self.active.split_off(SEGMENT_ROWS);
-            let chunk = std::mem::replace(&mut self.active, rest);
-            self.seal(chunk)?;
+        let mut rest = rows;
+        if !self.active.is_empty() {
+            let room = SEGMENT_ROWS.saturating_sub(self.active.len());
+            let (head, tail) = rest.split_at(room.min(rest.len()));
+            self.active.extend_from_slice(head);
+            rest = tail;
+            if self.active.len() >= SEGMENT_ROWS {
+                self.seal_active()?;
+            }
         }
+        let mut whole = rest.chunks_exact(SEGMENT_ROWS);
+        for chunk in &mut whole {
+            self.seal_eager(chunk)?;
+        }
+        self.active.extend_from_slice(whole.remainder());
         Ok(())
     }
 
     /// Append attributed blocks whose producer ids refer to
     /// `src_registry`; names are re-interned into the store's own
     /// dictionary.
+    ///
+    /// The whole call is validated (heights in order, every producer in
+    /// `src_registry`) and its producers interned before any row is
+    /// buffered; rows are then streamed into the buffer, sealing each
+    /// time it fills.
     pub fn append_attributed(
         &mut self,
         blocks: &[AttributedBlock],
         src_registry: &ProducerRegistry,
     ) -> Result<()> {
+        let missing = |p: ProducerId| {
+            StoreError::InvalidAppend(format!("producer {p} missing from source registry"))
+        };
         let mut id_map: Vec<Option<u32>> = vec![None; src_registry.len()];
-        let mut rows = Vec::with_capacity(blocks.len());
+        for c in blocks.iter().flat_map(|b| &b.credits) {
+            let src_idx = c.producer.index();
+            if id_map.get(src_idx).copied().flatten().is_none() {
+                let name = src_registry
+                    .name(c.producer)
+                    .ok_or_else(|| missing(c.producer))?;
+                let mapped = self.registry.intern(name).0;
+                if let Some(slot) = id_map.get_mut(src_idx) {
+                    *slot = Some(mapped);
+                }
+            }
+        }
+        let mut last = self.last_height;
+        for b in blocks.iter().filter(|b| !b.credits.is_empty()) {
+            check_height(last, b.height)?;
+            last = Some(b.height);
+        }
+        self.last_height = last;
+
         for b in blocks {
             for c in &b.credits {
-                let src_idx = c.producer.index();
-                let mapped = match id_map.get(src_idx).copied().flatten() {
-                    Some(m) => m,
-                    None => {
-                        let name = src_registry.name(c.producer).ok_or_else(|| {
-                            StoreError::InvalidAppend(format!(
-                                "producer {} missing from source registry",
-                                c.producer
-                            ))
-                        })?;
-                        let m = self.registry.intern(name).0;
-                        if src_idx < id_map.len() {
-                            id_map[src_idx] = Some(m);
-                        }
-                        m
-                    }
-                };
-                rows.push(RowRecord {
+                let producer = id_map
+                    .get(c.producer.index())
+                    .copied()
+                    .flatten()
+                    .ok_or_else(|| missing(c.producer))?;
+                self.active.push(RowRecord {
                     height: b.height,
                     timestamp: b.timestamp.secs(),
-                    producer: mapped,
+                    producer,
                     credit_millis: weight_to_millis(c.weight),
                     tx_count: 0,
                     size_bytes: 0,
                     difficulty: 0,
                 });
+                if self.active.len() >= SEGMENT_ROWS {
+                    self.seal_active()?;
+                }
             }
         }
-        self.append_rows(&rows)
+        Ok(())
     }
 
-    fn seal(&mut self, rows: Vec<RowRecord>) -> Result<()> {
+    /// Seal the full buffer, keeping its allocation for the next
+    /// segment's rows.
+    fn seal_active(&mut self) -> Result<()> {
+        let mut rows = std::mem::take(&mut self.active);
+        let sealed = self.seal_eager(&rows);
+        if sealed.is_ok() {
+            rows.clear();
+        }
+        self.active = rows;
+        sealed
+    }
+
+    /// A seal made inside an append, as opposed to `flush`'s own.
+    fn seal_eager(&mut self, rows: &[RowRecord]) -> Result<()> {
+        let _t = blockdec_obs::span_timed!("stage.store_seal", rows = rows.len());
+        self.seal(rows)
+    }
+
+    fn seal(&mut self, rows: &[RowRecord]) -> Result<()> {
         debug_assert!(!rows.is_empty());
         let id = self.manifest.next_segment_id;
         let file = segment_file_name(id);
-        let stamp = write_segment_file(self.store.as_ref(), &file, &rows)?;
+        let stamp = write_segment_file(self.store.as_ref(), &file, rows)?;
         self.manifest.segments.push(SegmentMeta {
             file,
-            zone: ZoneMap::from_rows(&rows),
+            zone: ZoneMap::from_rows(rows),
             crc: stamp.crc,
             producers: stamp.producers,
         });
@@ -505,7 +546,7 @@ impl BlockStore {
                 return Ok(());
             }
             let rows = std::mem::take(&mut self.active);
-            self.seal(rows)?;
+            self.seal(&rows)?;
         }
         if let Some(policy) = self.compact_policy {
             self.run_compaction(policy)?;
@@ -959,6 +1000,16 @@ impl BlockStore {
     fn run_compaction(&mut self, policy: CompactionPolicy) -> Result<bool> {
         let compactor = Compactor::new(self.store.as_ref(), policy);
         Ok(compactor.run(&mut self.manifest)?.is_some())
+    }
+}
+
+/// Reject `height` if it would go below the last appended height.
+fn check_height(last: Option<u64>, height: u64) -> Result<()> {
+    match last {
+        Some(prev) if height < prev => Err(StoreError::InvalidAppend(format!(
+            "height {height} after {prev}: appends must be height-ordered"
+        ))),
+        _ => Ok(()),
     }
 }
 
