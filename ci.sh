@@ -73,6 +73,22 @@ rm -rf target/ci-smoke/compact-store
 ./target/release/blockdec measure --store target/ci-smoke/compact-store \
     --metric gini,entropy,nakamoto --window fixed:day \
     --out target/ci-smoke/compact-before.csv
+# Smoke: query. Three row-scan queries (a time-pruned top-k, a
+# bloom-pruned producer count, an unpruned ranking of everyone) must
+# print the same bytes before and after compaction, and through the
+# flaky sim backend.
+smoke_queries() {
+    tag=$1
+    shift
+    ./target/release/blockdec query --store target/ci-smoke/compact-store "$@" \
+        --q 'top 5 producers where time between "2019-01-02" and "2019-01-03"' \
+        > "target/ci-smoke/query-$tag-top.csv"
+    ./target/release/blockdec query --store target/ci-smoke/compact-store "$@" \
+        --q 'count where producer = "F2Pool"' > "target/ci-smoke/query-$tag-count.csv"
+    ./target/release/blockdec query --store target/ci-smoke/compact-store "$@" \
+        --q 'producers' > "target/ci-smoke/query-$tag-all.csv"
+}
+smoke_queries before
 ./target/release/blockdec compact --store target/ci-smoke/compact-store \
     | grep -q 'compacted .* segments into'
 ./target/release/blockdec fsck --store target/ci-smoke/compact-store
@@ -80,6 +96,14 @@ rm -rf target/ci-smoke/compact-store
     --metric gini,entropy,nakamoto --window fixed:day \
     --out target/ci-smoke/compact-after.csv
 cmp target/ci-smoke/compact-before.csv target/ci-smoke/compact-after.csv
+smoke_queries after
+smoke_queries sim --backend sim --sim-latency-us 50 --sim-jitter-us 20 \
+    --sim-bandwidth-kbps 51200 --sim-fail-every 5 --sim-seed 42
+for q in top count all; do
+    test -s "target/ci-smoke/query-before-$q.csv"
+    cmp "target/ci-smoke/query-before-$q.csv" "target/ci-smoke/query-after-$q.csv"
+    cmp "target/ci-smoke/query-before-$q.csv" "target/ci-smoke/query-sim-$q.csv"
+done
 
 # Smoke: live drill. Follow the same scenario as a live head feed with
 # seeded forks (every 20 blocks, up to 3 deep) through the reorg-aware

@@ -165,14 +165,9 @@ fn backend_from_args(dir: &str, args: &Args) -> Result<Arc<dyn ObjectStore>, Str
     Ok(backend_choice(args)?.build(Path::new(dir)))
 }
 
-/// Apply the cache-sizing flags to an open store: `--cache-segments`
-/// (decoded-segment LRU, also `BLOCKDEC_CACHE_SEGMENTS`) and
-/// `--page-cache-mb` (backend byte-range cache, also
-/// `BLOCKDEC_PAGE_CACHE_MB`).
-fn apply_cache_flags(store: &mut BlockStore, args: &Args) -> Result<(), String> {
-    if let Some(n) = args.get_parsed::<usize>("cache-segments")? {
-        store.set_cache_segments(n);
-    }
+/// Apply the cache-sizing flag to an open store: `--page-cache-mb`
+/// (the backend byte-range cache, also `BLOCKDEC_PAGE_CACHE_MB`).
+fn apply_page_cache_flag(store: &mut BlockStore, args: &Args) -> Result<(), String> {
     if let Some(mb) = args.get_parsed::<usize>("page-cache-mb")? {
         store.set_page_cache_bytes(mb.saturating_mul(1024 * 1024));
     }
@@ -186,7 +181,7 @@ pub fn load(args: &Args) -> CmdResult {
     let stream = scenario.generate();
     let mut store = BlockStore::open_or_create_with(backend_from_args(store_dir, args)?)
         .map_err(|e| e.to_string())?;
-    apply_cache_flags(&mut store, args)?;
+    apply_page_cache_flag(&mut store, args)?;
     // `--flush-every N` seals a segment every N blocks instead of one
     // big flush at the end — produces the many-small-segments layout
     // that `blockdec compact` exists to fix (used by the CI smoke).
@@ -234,7 +229,7 @@ pub fn ingest(args: &Args) -> CmdResult {
 
     let mut store = BlockStore::open_or_create_with(backend_from_args(store_dir, args)?)
         .map_err(|e| e.to_string())?;
-    apply_cache_flags(&mut store, args)?;
+    apply_page_cache_flag(&mut store, args)?;
     store
         .append_attributed(&attributed, &registry)
         .map_err(|e| e.to_string())?;
@@ -253,7 +248,7 @@ pub fn ingest(args: &Args) -> CmdResult {
 fn open_store(dir: &str, args: &Args) -> Result<BlockStore, String> {
     let mut store =
         BlockStore::open_with(backend_from_args(dir, args)?).map_err(|e| e.to_string())?;
-    apply_cache_flags(&mut store, args)?;
+    apply_page_cache_flag(&mut store, args)?;
     if let Some(threads) = args.get_parsed::<usize>("scan-threads")? {
         store.set_scan_threads(threads);
     }
@@ -390,7 +385,7 @@ pub fn follow(args: &Args) -> CmdResult {
 
     let mut store = BlockStore::open_or_create_with(backend_from_args(store_dir, args)?)
         .map_err(|e| e.to_string())?;
-    apply_cache_flags(&mut store, args)?;
+    apply_page_cache_flag(&mut store, args)?;
     if let Some(threads) = args.get_parsed::<usize>("scan-threads")? {
         store.set_scan_threads(threads);
     }

@@ -43,8 +43,6 @@ GLOBAL OPTIONS:
                          read faults (retried transparently). Sim knobs:
                          --sim-latency-us N, --sim-jitter-us N,
                          --sim-bandwidth-kbps N, --sim-fail-every N, --sim-seed N
-  --cache-segments <n>   Decoded-segment LRU capacity (default 8, or
-                         BLOCKDEC_CACHE_SEGMENTS)
   --page-cache-mb <n>    Backend page-cache capacity for pruned scans in MiB
                          (default 64, or BLOCKDEC_PAGE_CACHE_MB)
 
@@ -138,8 +136,9 @@ fn main() -> ExitCode {
         }
         other => Err(format!("unknown command {other:?}; try `blockdec help`")),
     };
-    // End-of-run summary: per-stage wall time, throughput, cache hit
-    // rate, windows emitted. Only when logging is on at info or finer.
+    // End-of-run summary: per-stage wall time, throughput, store decode
+    // and page-cache figures, windows emitted. Only when logging is on
+    // at info or finer.
     if blockdec_obs::log::enabled(blockdec_obs::Level::Info, "blockdec") {
         blockdec_obs::RunSummary::collect().emit();
     }

@@ -496,3 +496,63 @@ fn unknown_metric_is_rejected_with_choices() {
     assert!(stderr(&out).contains("gini"), "{}", stderr(&out));
     fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn run_summaries_describe_the_path_that_ran() {
+    let dir = workdir("summary");
+    let store = dir.join("store");
+    let out = blockdec(&[
+        "load",
+        "--chain",
+        "bitcoin",
+        "--days",
+        "30",
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let cache_lines = ["store cache:", "segment cache:"];
+
+    // `measure` runs the matrix planner: its blocks count towards the
+    // throughput line, and no line names a cache it never had.
+    let out = blockdec(&[
+        "measure",
+        "--store",
+        store.to_str().unwrap(),
+        "--metric",
+        "gini,entropy",
+        "--log-level",
+        "info",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("run summary"), "{err}");
+    let throughput = err
+        .lines()
+        .find(|l| l.trim_start().starts_with("throughput:"))
+        .unwrap_or_else(|| panic!("no throughput line:\n{err}"));
+    assert!(throughput.ends_with(" blocks/sec"), "{throughput}");
+    assert!(!throughput.contains("n/a"), "{throughput}");
+    for line in cache_lines {
+        assert!(!err.contains(line), "{line} in:\n{err}");
+    }
+
+    // A pruned `query` row scan reports its decode rate and pruning.
+    let out = blockdec(&[
+        "query",
+        "--store",
+        store.to_str().unwrap(),
+        "--q",
+        "top 3 producers where time between \"2019-01-03\" and \"2019-01-04\"",
+        "--log-level",
+        "info",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("store decode: "), "{err}");
+    assert!(err.contains("scan pruning: "), "{err}");
+    for line in cache_lines {
+        assert!(!err.contains(line), "{line} in:\n{err}");
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}

@@ -156,6 +156,9 @@ impl MatrixPlan {
             windows_emitted += series.points.len() as u64;
             out.push(series);
         }
+        // Input blocks count once per run, however many configs share
+        // them, as they do for a single-config engine run.
+        blockdec_obs::counter("engine.blocks").add(cols.len() as u64);
         blockdec_obs::counter("engine.windows").add(windows_emitted);
         blockdec_obs::debug!(
             configs = self.configs(), specs = self.window_specs(), windows = windows_emitted;

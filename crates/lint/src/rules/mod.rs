@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn metric_name_filter() {
-        assert!(is_metric_name("store.cache.hit"));
+        assert!(is_metric_name("store.backend.hit"));
         assert!(is_metric_name("stage.fsck_repair"));
         assert!(!is_metric_name("manifest"));
         assert!(!is_metric_name("blockdec_store::cache"));
@@ -159,12 +159,12 @@ mod tests {
 
     #[test]
     fn table_cell_names() {
-        let row = "| `store.cache.hit` / `store.cache.miss` | lookups (`blockdec_store::cache`) |";
+        let row = "| `store.backend.hit` / `store.backend.miss` | lookups (`blockdec_store::backend::PageCache`) |";
         assert_eq!(
             names_in_table_cell(row),
             vec![
-                "store.cache.hit".to_string(),
-                "store.cache.miss".to_string()
+                "store.backend.hit".to_string(),
+                "store.backend.miss".to_string()
             ]
         );
         assert!(names_in_table_cell("|---|---|").is_empty());

@@ -2,7 +2,7 @@
 //! documented in `docs/OBSERVABILITY.md`, and vice versa.
 //!
 //! Counters, gauges, histograms, and spans are registered by string
-//! name at the call site (`blockdec_obs::counter("store.cache.hit")`),
+//! name at the call site (`blockdec_obs::counter("store.backend.hit")`),
 //! so nothing ties the code to the doc — across PRs the two silently
 //! diverge, and an operator grepping the doc for a counter that was
 //! renamed two PRs ago measures nothing. The doc's name tables sit

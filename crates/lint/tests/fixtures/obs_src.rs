@@ -1,3 +1,3 @@
 pub fn record_hit() {
-    blockdec_obs::counter("store.cache.hit").inc();
+    blockdec_obs::counter("store.backend.hit").inc();
 }

@@ -35,7 +35,7 @@
 //!
 //! Stage histograms are named `stage.*` and render as the per-stage wall
 //! time table in the run summary; counters use dotted paths like
-//! `store.cache.hit`. The full inventory lives in `docs/OBSERVABILITY.md`.
+//! `store.backend.hit`. The full inventory lives in `docs/OBSERVABILITY.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! In-process metrics: named counters and histograms.
 //!
 //! There is no external backend — a process-wide registry maps dotted
-//! names (`store.cache.hit`, `stage.measure`) to atomics, and the run
+//! names (`store.backend.hit`, `stage.measure`) to atomics, and the run
 //! summary reads them at exit. [`counter`]/[`histogram`] intern the name
 //! on first use and return a shared handle; hot paths should look the
 //! handle up once and reuse it.

@@ -1,5 +1,6 @@
-//! End-of-run summary: per-stage wall time, throughput, cache hit rate,
-//! and windows emitted, assembled from the metrics registry.
+//! End-of-run summary: per-stage wall time, throughput, store decode and
+//! page-cache figures, and windows emitted, assembled from the metrics
+//! registry.
 
 use crate::log::LogFormat;
 use crate::metrics::{counter_values, histogram_snapshots, HistogramSnapshot};
@@ -23,14 +24,14 @@ pub struct StageLine {
 pub struct RunSummary {
     /// Per-stage wall time, in registration (alphabetical) order.
     pub stages: Vec<StageLine>,
-    /// Blocks processed per wall second of measurement (or simulation /
-    /// ingest when no measurement ran). `None` when nothing was counted.
+    /// Blocks processed per wall second of measurement — `engine.blocks`
+    /// over `stage.measure` plus `stage.measure_matrix` time — or of
+    /// simulation / ingest when no measurement ran. `None` when nothing
+    /// was counted.
     pub blocks_per_sec: Option<f64>,
-    /// Segment-cache hit rate in `[0, 1]`; `None` before any lookup.
-    pub cache_hit_rate: Option<f64>,
     /// Attribution rows decoded per wall second of store scanning
-    /// (`store.decode.rows` over `stage.scan`). `None` when no columnar
-    /// scan ran.
+    /// (`store.decode.rows` over `stage.scan`). `None` when no scan
+    /// decoded a segment.
     pub decode_rows_per_sec: Option<f64>,
     /// Segment bytes decoded per wall second of store scanning, in MB/s
     /// (`store.decode.bytes` over `stage.scan`).
@@ -44,12 +45,6 @@ pub struct RunSummary {
     /// Column pages skipped inside decoded segments via v3 page-group
     /// zone maps (`store.scan.pages_pruned`).
     pub pages_pruned: u64,
-    /// Configured segment-cache capacity in segments
-    /// (`store.cache.capacity_segments` gauge; 0 = cache never touched).
-    pub cache_capacity_segments: u64,
-    /// Decoded bytes resident in the segment cache at exit
-    /// (`store.cache.resident_bytes` gauge).
-    pub cache_resident_bytes: u64,
     /// Bytes read from the storage backend (`store.backend.bytes_fetched`:
     /// whole objects plus ranged page-cache fills).
     pub backend_bytes_fetched: u64,
@@ -99,16 +94,10 @@ impl RunSummary {
         let get = |k: &str| counters.get(k).copied().unwrap_or(0);
         let stage_secs = |k: &str| hists.get(k).map(|s| s.sum).unwrap_or(0.0);
         // Prefer measurement throughput; fall back to whichever stage ran.
-        let blocks_per_sec = rate(get("engine.blocks"), stage_secs("stage.measure"))
+        let measure_secs = stage_secs("stage.measure") + stage_secs("stage.measure_matrix");
+        let blocks_per_sec = rate(get("engine.blocks"), measure_secs)
             .or_else(|| rate(get("sim.blocks"), stage_secs("stage.simulate")))
             .or_else(|| rate(get("ingest.blocks"), stage_secs("stage.ingest")));
-        let hits = get("store.cache.hit");
-        let misses = get("store.cache.miss");
-        let cache_hit_rate = if hits + misses > 0 {
-            Some(hits as f64 / (hits + misses) as f64)
-        } else {
-            None
-        };
         let scan_secs = stage_secs("stage.scan");
         let decode_rows_per_sec = rate(get("store.decode.rows"), scan_secs);
         let decode_mb_per_sec =
@@ -123,14 +112,11 @@ impl RunSummary {
         RunSummary {
             stages,
             blocks_per_sec,
-            cache_hit_rate,
             decode_rows_per_sec,
             decode_mb_per_sec,
             segments_pruned: get("store.scan.segments_pruned"),
             bloom_skips: get("store.scan.bloom_skip"),
             pages_pruned: get("store.scan.pages_pruned"),
-            cache_capacity_segments: get("store.cache.capacity_segments"),
-            cache_resident_bytes: get("store.cache.resident_bytes"),
             backend_bytes_fetched: get("store.backend.bytes_fetched"),
             page_cache_hit_rate,
             backend_retries: get("store.backend.retries"),
@@ -160,10 +146,6 @@ impl RunSummary {
             Some(r) => out.push_str(&format!("  throughput: {r:.0} blocks/sec\n")),
             None => out.push_str("  throughput: n/a\n"),
         }
-        match self.cache_hit_rate {
-            Some(r) => out.push_str(&format!("  store cache: {:.1}% hit rate\n", r * 100.0)),
-            None => out.push_str("  store cache: no lookups\n"),
-        }
         if let (Some(rows), Some(mb)) = (self.decode_rows_per_sec, self.decode_mb_per_sec) {
             out.push_str(&format!(
                 "  store decode: {rows:.0} rows/sec, {mb:.1} MB/sec\n"
@@ -173,13 +155,6 @@ impl RunSummary {
             out.push_str(&format!(
                 "  scan pruning: {} segment(s) skipped ({} by bloom), {} page(s) skipped\n",
                 self.segments_pruned, self.bloom_skips, self.pages_pruned
-            ));
-        }
-        if self.cache_capacity_segments > 0 {
-            out.push_str(&format!(
-                "  segment cache: {} segment(s) capacity, {:.1} MB resident\n",
-                self.cache_capacity_segments,
-                self.cache_resident_bytes as f64 / (1024.0 * 1024.0)
             ));
         }
         if self.backend_bytes_fetched > 0 || self.backend_retries > 0 {
@@ -211,8 +186,9 @@ impl RunSummary {
         out
     }
 
-    /// One JSON object (no trailing newline) with `stages`, `throughput`,
-    /// `cache_hit_rate`, `windows`, and the raw `counters` map.
+    /// One JSON object (no trailing newline) with `stages`,
+    /// `blocks_per_sec`, the decode, pruning, backend and fault figures,
+    /// `windows`, and the raw `counters` map.
     pub fn render_json(&self) -> String {
         fn push_f64(out: &mut String, v: f64) {
             if v.is_finite() {
@@ -238,11 +214,6 @@ impl RunSummary {
             Some(r) => push_f64(&mut out, r),
             None => out.push_str("null"),
         }
-        out.push_str(",\"cache_hit_rate\":");
-        match self.cache_hit_rate {
-            Some(r) => push_f64(&mut out, r),
-            None => out.push_str("null"),
-        }
         out.push_str(",\"decode_rows_per_sec\":");
         match self.decode_rows_per_sec {
             Some(r) => push_f64(&mut out, r),
@@ -258,8 +229,8 @@ impl RunSummary {
             self.segments_pruned, self.bloom_skips, self.pages_pruned
         ));
         out.push_str(&format!(
-            ",\"cache_capacity_segments\":{},\"cache_resident_bytes\":{},\"backend_bytes_fetched\":{}",
-            self.cache_capacity_segments, self.cache_resident_bytes, self.backend_bytes_fetched
+            ",\"backend_bytes_fetched\":{}",
+            self.backend_bytes_fetched
         ));
         out.push_str(",\"page_cache_hit_rate\":");
         match self.page_cache_hit_rate {
@@ -315,14 +286,11 @@ mod tests {
                 },
             ],
             blocks_per_sec: Some(42_000.0),
-            cache_hit_rate: Some(0.875),
             decode_rows_per_sec: Some(2_000_000.0),
             decode_mb_per_sec: Some(96.5),
             segments_pruned: 12,
             bloom_skips: 4,
             pages_pruned: 84,
-            cache_capacity_segments: 8,
-            cache_resident_bytes: 3 * 1024 * 1024,
             backend_bytes_fetched: 2 * 1024 * 1024,
             page_cache_hit_rate: Some(0.75),
             backend_retries: 2,
@@ -332,7 +300,7 @@ mod tests {
             segments_skipped: 0,
             counters: BTreeMap::from([
                 ("engine.windows".to_string(), 365u64),
-                ("store.cache.hit".to_string(), 7u64),
+                ("store.backend.hit".to_string(), 7u64),
             ]),
         }
     }
@@ -342,7 +310,6 @@ mod tests {
         let text = sample().render_text();
         assert!(text.contains("measure"), "{text}");
         assert!(text.contains("42000 blocks/sec"), "{text}");
-        assert!(text.contains("87.5% hit rate"), "{text}");
         assert!(
             text.contains("store decode: 2000000 rows/sec, 96.5 MB/sec"),
             "{text}"
@@ -352,10 +319,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("windows emitted: 365"), "{text}");
-        assert!(
-            text.contains("segment cache: 8 segment(s) capacity, 3.0 MB resident"),
-            "{text}"
-        );
         assert!(
             text.contains("backend: 2.0 MB fetched, page cache 75.0% hit rate, 2 read(s) retried"),
             "{text}"
@@ -369,11 +332,6 @@ mod tests {
         assert!(json.contains("\"windows\":365"), "{json}");
         assert!(
             json.contains("\"segments_pruned\":12,\"bloom_skips\":4,\"pages_pruned\":84"),
-            "{json}"
-        );
-        assert!(json.contains("\"cache_hit_rate\":0.875"), "{json}");
-        assert!(
-            json.contains("\"cache_capacity_segments\":8,\"cache_resident_bytes\":3145728"),
             "{json}"
         );
         assert!(json.contains("\"backend_bytes_fetched\":2097152"), "{json}");
@@ -391,14 +349,11 @@ mod tests {
         let s = RunSummary {
             stages: Vec::new(),
             blocks_per_sec: None,
-            cache_hit_rate: None,
             decode_rows_per_sec: None,
             decode_mb_per_sec: None,
             segments_pruned: 0,
             bloom_skips: 0,
             pages_pruned: 0,
-            cache_capacity_segments: 0,
-            cache_resident_bytes: 0,
             backend_bytes_fetched: 0,
             page_cache_hit_rate: None,
             backend_retries: 0,
@@ -413,12 +368,11 @@ mod tests {
         assert!(s.render_json().contains("\"decode_rows_per_sec\":null"));
         assert!(s.render_json().contains("\"page_cache_hit_rate\":null"));
         // Quiet runs stay quiet: no fault line, no decode line, no
-        // pruning, cache, or backend lines.
+        // pruning or backend lines.
         assert!(!s.render_text().contains("store faults"));
         assert!(!s.render_text().contains("degraded scans"));
         assert!(!s.render_text().contains("store decode"));
         assert!(!s.render_text().contains("scan pruning"));
-        assert!(!s.render_text().contains("segment cache"));
         assert!(!s.render_text().contains("backend:"));
     }
 

@@ -25,14 +25,27 @@ pub struct ProducerAgg {
 }
 
 /// Credit-weighted block counts per producer id, in id order.
+///
+/// Folds as rows stream out of [`BlockStore::scan_for_each`], so no row
+/// set is materialized. Each producer's credits are summed in height
+/// order, which fixes every sum to the last bit. Dictionary ids index a
+/// dense table; an id outside the dictionary (a damaged store) is still
+/// counted, in a map, rather than sizing the table by a corrupt value.
 pub fn producer_block_counts(store: &BlockStore, filter: &Filter) -> Result<Vec<(u32, f64)>> {
     let (pred, residual) = filter.compile();
-    let rows = store.scan(&pred)?;
-    let mut counts: BTreeMap<u32, f64> = BTreeMap::new();
-    for r in rows.iter().filter(|r| residual.matches(r)) {
-        *counts.entry(r.producer).or_insert(0.0) += r.credit();
-    }
-    Ok(counts.into_iter().collect())
+    let mut known: Vec<Option<f64>> = vec![None; store.registry().len()];
+    let mut unknown: BTreeMap<u32, f64> = BTreeMap::new();
+    store.scan_for_each(&pred, |r| {
+        if residual.matches(r) {
+            let count = match known.get_mut(r.producer as usize) {
+                Some(slot) => slot.get_or_insert(0.0),
+                None => unknown.entry(r.producer).or_insert(0.0),
+            };
+            *count += r.credit();
+        }
+    })?;
+    let known = (0u32..).zip(known).filter_map(|(p, c)| Some((p, c?)));
+    Ok(known.chain(unknown).collect())
 }
 
 /// Top-`k` producers by credit within the range, with names and shares.

@@ -4,8 +4,9 @@
 //! windowing — fine for one chain-year, but a store can hold many. This
 //! module computes *fixed calendar* measurements in a single visitor
 //! scan: per-bucket producer distributions accumulate as rows stream by
-//! (segment by segment), so peak memory is one decoded segment plus the
-//! per-bucket aggregates, independent of total store size.
+//! (segment by segment), so peak memory is one segment's decoded page
+//! groups plus the per-bucket aggregates, independent of total store
+//! size.
 
 use crate::expr::Filter;
 use blockdec_chain::{Granularity, ProducerId, Timestamp};

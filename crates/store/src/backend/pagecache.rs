@@ -9,8 +9,9 @@
 //! invalidation is needed across compaction: a new CRC is a new key.
 //!
 //! Capacity is in bytes. Entries are `Arc`-shared so a hit never copies
-//! the range; eviction is LRU by a monotonic clock stamp, identical in
-//! spirit to [`crate::cache::SegmentCache`]. Hits, misses, and
+//! the range; eviction is LRU by a monotonic clock stamp. It is the
+//! store's only cache: row and columnar scans both read through it.
+//! Hits, misses, and
 //! evictions feed the `store.backend.*` counters; configured capacity
 //! and resident bytes are exported as gauges for the run summary.
 

@@ -37,9 +37,9 @@ pub struct SegmentMeta {
 }
 
 impl SegmentMeta {
-    /// Cache key for the decoded-segment LRU: file name **plus** content
-    /// CRC, so a rewritten segment can never be served from a stale
-    /// cache entry keyed by the bare file name.
+    /// Page-cache key: file name **plus** content CRC, so a rewritten
+    /// segment can never be served from a stale cache entry keyed by the
+    /// bare file name.
     pub fn cache_key(&self) -> String {
         format!("{}@{:08x}", self.file, self.crc)
     }

@@ -18,9 +18,12 @@
 //!   (min/max height and timestamp), committed atomically via
 //!   write-to-temp + rename.
 //!
-//! Reads go through [`store::BlockStore::scan`], which prunes segments by
-//! zone map before touching their pages and streams decoded rows through
-//! an LRU segment cache.
+//! Reads go through [`store::BlockStore::scan`] and
+//! [`store::BlockStore::scan_columnar`], which share one decode loop:
+//! segments are pruned by zone map and producer bloom before they are
+//! opened, page groups by the per-segment index before they are
+//! fetched, and pruned reads go through one bounded byte-range
+//! [`backend::PageCache`].
 //!
 //! Durability: every artifact is committed via [`atomic`] (write-temp +
 //! fsync + atomic rename), segment files carry a finalization footer so
@@ -36,7 +39,6 @@ pub mod atomic;
 pub mod backend;
 pub mod bloom;
 pub mod bufio;
-pub mod cache;
 pub mod catalog;
 pub mod checksum;
 pub mod compactor;

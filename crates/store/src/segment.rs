@@ -132,7 +132,7 @@ fn verify_footer_frame(data: &[u8], what: &str) -> Result<()> {
 }
 
 /// The stored whole-file CRC of a finalized segment — its content
-/// identity (used to key the decoded-segment cache and recorded in the
+/// identity (used to key the page cache and recorded in the
 /// manifest). `None` when the footer frame is absent or inconsistent.
 pub fn footer_crc(data: &[u8]) -> Option<u32> {
     if data.len() < FOOTER_LEN || data[data.len() - 4..] != FOOTER_MAGIC {
@@ -482,7 +482,7 @@ impl PrunedDecode {
 /// — [`crate::page::read_page`] returns slices), and batch-decodes every
 /// column into scratch buffers owned by the decoder. Reusing one decoder
 /// across segments makes a scan allocation-free after the first segment,
-/// which is what lets the columnar path skip the per-segment
+/// which is what lets row and columnar scans skip the per-segment
 /// `Vec<RowRecord>` materialization entirely.
 ///
 /// A full [`SegmentDecoder::decode`] also cross-checks the index block

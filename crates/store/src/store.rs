@@ -1,7 +1,6 @@
 //! The public store API: [`BlockStore`].
 
 use crate::backend::{get_retry, LocalFs, ObjectStore, PageCache, PageCacheStats};
-use crate::cache::SegmentCache;
 use crate::catalog::{segment_file_name, Manifest, SegmentMeta, MANIFEST_NAME};
 use crate::compactor::{CompactionPolicy, Compactor};
 use crate::dictionary::{load_dictionary, save_dictionary, DICTIONARY_NAME};
@@ -137,8 +136,8 @@ pub struct ScanStats {
     /// filters have no false negatives).
     pub bloom_skips: usize,
     /// CRC-framed column pages skipped *inside* decoded segments via the
-    /// v3 per-group index zones (columnar scans only; the row path
-    /// decodes whole segments into the cache, so it reports 0 here).
+    /// v3 per-group index (zone or group-bloom miss). Row and columnar
+    /// scans share one decode loop, so both report the same count.
     pub pages_pruned: u64,
     /// Unreadable segments skipped by a degraded scan (always 0 for a
     /// strict scan, which errors instead). See [`ScanOptions`].
@@ -209,7 +208,6 @@ pub struct BlockStore {
     store: Arc<dyn ObjectStore>,
     manifest: Manifest,
     registry: ProducerRegistry,
-    cache: SegmentCache,
     pages: PageCache,
     active: Vec<RowRecord>,
     last_height: Option<u64>,
@@ -217,20 +215,8 @@ pub struct BlockStore {
     compact_policy: Option<CompactionPolicy>,
 }
 
-/// Default decoded-segment cache capacity.
-const DEFAULT_CACHE_SEGMENTS: usize = 8;
-
 /// Default page-cache capacity in mebibytes.
 const DEFAULT_PAGE_CACHE_MB: u64 = 64;
-
-/// Decoded-segment cache capacity: `BLOCKDEC_CACHE_SEGMENTS` when set
-/// and parseable, 8 segments otherwise.
-pub fn default_cache_segments() -> usize {
-    std::env::var("BLOCKDEC_CACHE_SEGMENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_CACHE_SEGMENTS)
-}
 
 /// Page-cache capacity in bytes: `BLOCKDEC_PAGE_CACHE_MB` (in MiB) when
 /// set and parseable, 64 MiB otherwise.
@@ -248,7 +234,6 @@ fn fresh_handle(store: Arc<dyn ObjectStore>, manifest: Manifest) -> BlockStore {
         store,
         manifest,
         registry: ProducerRegistry::new(),
-        cache: SegmentCache::new(default_cache_segments()),
         pages: PageCache::new(default_page_cache_bytes()),
         active: Vec::new(),
         last_height,
@@ -339,12 +324,6 @@ impl BlockStore {
         } else {
             BlockStore::create_with(backend)
         }
-    }
-
-    /// Resize the decoded-segment cache (entries beyond the new
-    /// capacity are evicted immediately).
-    pub fn set_cache_segments(&mut self, capacity: usize) {
-        self.cache.set_capacity(capacity);
     }
 
     /// Resize the backend page cache (bytes; `0` disables caching).
@@ -527,9 +506,9 @@ impl BlockStore {
         // Commit: dictionary first (superset is harmless), then manifest.
         save_dictionary(self.store.as_ref(), &self.registry)?;
         self.manifest.save(self.store.as_ref())?;
-        // No cache invalidation: the decoded-segment cache is keyed by
-        // content identity (file name + footer CRC), so entries for
-        // superseded bytes simply stop being addressed and age out.
+        // No cache invalidation: the page cache is keyed by content
+        // identity (file name + footer CRC), so entries for superseded
+        // bytes simply stop being addressed and age out.
         Ok(())
     }
 
@@ -571,22 +550,15 @@ impl BlockStore {
         pred: &ScanPredicate,
         opts: ScanOptions,
     ) -> Result<(Vec<RowRecord>, ScanStats)> {
-        let _t = blockdec_obs::span_timed!("stage.scan", segments = self.manifest.segments.len());
         let mut out = Vec::new();
         let stats = self.scan_for_each_with(pred, opts, |r| out.push(*r))?;
-        blockdec_obs::debug!(
-            rows = stats.rows_returned,
-            pruned = stats.segments_pruned,
-            skipped = stats.segments_skipped,
-            total_segments = stats.segments_total;
-            "scan complete"
-        );
         Ok((out, stats))
     }
 
     /// Visit matching rows in height order without materializing the
-    /// result set — memory use is bounded by one decoded segment
-    /// regardless of how many rows match. Returns pruning statistics.
+    /// result set — memory use is bounded by one segment's decoded page
+    /// groups regardless of how many rows match. Returns pruning
+    /// statistics.
     pub fn scan_for_each(
         &self,
         pred: &ScanPredicate,
@@ -600,58 +572,74 @@ impl BlockStore {
     /// and counted ([`ScanStats::segments_skipped`], plus the
     /// `store.fault.segments_skipped` counter) instead of aborting —
     /// the scan yields every row of the surviving segments.
+    ///
+    /// Rows come from the same decode as [`BlockStore::scan_columnar`]:
+    /// each surviving segment is decoded into one reused
+    /// [`SegmentDecoder`], page groups the predicate rules out are never
+    /// fetched, and a pruning predicate reads its ranges through the
+    /// page cache. The scan is always sequential, so a visitor sees rows
+    /// in exactly the order they are stored.
     pub fn scan_for_each_with(
         &self,
         pred: &ScanPredicate,
         opts: ScanOptions,
         mut visit: impl FnMut(&RowRecord),
     ) -> Result<ScanStats> {
-        let mut stats = ScanStats {
-            segments_total: self.manifest.segments.len(),
-            ..ScanStats::default()
-        };
-        for seg in &self.manifest.segments {
-            match prune_segment(pred, seg) {
-                Prune::Zone => {
-                    stats.segments_pruned += 1;
-                    blockdec_obs::counter("store.scan.segments_pruned").inc();
-                    continue;
-                }
-                Prune::Bloom => {
-                    stats.segments_pruned += 1;
-                    stats.bloom_skips += 1;
-                    blockdec_obs::counter("store.scan.segments_pruned").inc();
-                    blockdec_obs::counter("store.scan.bloom_skip").inc();
-                    continue;
-                }
-                Prune::No => {}
-            }
-            let rows = match self.cache.get_or_load(&seg.cache_key(), || {
-                read_segment_file(self.store.as_ref(), &seg.file)
-            }) {
-                Ok(rows) => rows,
-                Err(e) if opts.skip_corrupt => {
-                    stats.segments_skipped += 1;
-                    blockdec_obs::counter("store.fault.segments_skipped").inc();
-                    blockdec_obs::warn!(
-                        file = seg.file.clone();
-                        "degraded scan skipping unreadable segment: {e}"
-                    );
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            for r in rows.iter().filter(|r| pred.matches(r)) {
+        let _t = blockdec_obs::span_timed!("stage.scan", segments = self.manifest.segments.len());
+        let (selected, mut stats) = self.select_segments(pred);
+        let mut tally = DecodeTally::default();
+        decode_segments(
+            self.store.as_ref(),
+            &self.pages,
+            &selected,
+            pred,
+            opts,
+            &mut tally,
+            |r| {
                 visit(r);
                 stats.rows_returned += 1;
-            }
-        }
+            },
+        )?;
         for r in self.active.iter().filter(|r| pred.matches(r)) {
             visit(r);
             stats.rows_returned += 1;
         }
+        stats.segments_skipped = tally.skipped;
+        stats.pages_pruned = tally.pages_pruned;
         blockdec_obs::counter("store.rows.scanned").add(stats.rows_returned);
+        blockdec_obs::counter("store.scan.pages_pruned").add(stats.pages_pruned);
+        blockdec_obs::debug!(
+            rows = stats.rows_returned,
+            pruned = stats.segments_pruned,
+            skipped = stats.segments_skipped,
+            total_segments = stats.segments_total;
+            "scan complete"
+        );
         Ok(stats)
+    }
+
+    /// Segment-level pruning shared by every scan: the segments that
+    /// must be opened, in catalog order, plus stats holding the pruned
+    /// and bloom-skipped counts (also added to their obs counters).
+    fn select_segments(&self, pred: &ScanPredicate) -> (Vec<&SegmentMeta>, ScanStats) {
+        let mut stats = ScanStats {
+            segments_total: self.manifest.segments.len(),
+            ..ScanStats::default()
+        };
+        let mut selected = Vec::with_capacity(self.manifest.segments.len());
+        for seg in &self.manifest.segments {
+            match prune_segment(pred, seg) {
+                Prune::Zone => stats.segments_pruned += 1,
+                Prune::Bloom => {
+                    stats.segments_pruned += 1;
+                    stats.bloom_skips += 1;
+                }
+                Prune::No => selected.push(seg),
+            }
+        }
+        blockdec_obs::counter("store.scan.segments_pruned").add(stats.segments_pruned as u64);
+        blockdec_obs::counter("store.scan.bloom_skip").add(stats.bloom_skips as u64);
+        (selected, stats)
     }
 
     /// Scan and regroup rows into attribution view (one
@@ -659,7 +647,7 @@ impl BlockStore {
     ///
     /// Regroups rows *as they stream* out of [`BlockStore::scan_for_each`]
     /// — the full `Vec<RowRecord>` is never collected, so peak memory is
-    /// one decoded segment plus the result itself. Returns
+    /// one segment's decoded page groups plus the result itself. Returns
     /// [`StoreError::InconsistentCatalog`] if the scan ever yields rows
     /// out of height order (a corrupt manifest, not a caller error).
     pub fn scan_attributed(&self, pred: &ScanPredicate) -> Result<Vec<AttributedBlock>> {
@@ -774,24 +762,7 @@ impl BlockStore {
         keep: impl Fn(&RowRecord) -> bool + Sync,
     ) -> Result<(BlockColumns, ScanStats)> {
         let _t = blockdec_obs::span_timed!("stage.scan", segments = self.manifest.segments.len());
-        let mut stats = ScanStats {
-            segments_total: self.manifest.segments.len(),
-            ..ScanStats::default()
-        };
-        let mut selected: Vec<&SegmentMeta> = Vec::with_capacity(self.manifest.segments.len());
-        for seg in &self.manifest.segments {
-            match prune_segment(pred, seg) {
-                Prune::Zone => stats.segments_pruned += 1,
-                Prune::Bloom => {
-                    stats.segments_pruned += 1;
-                    stats.bloom_skips += 1;
-                }
-                Prune::No => selected.push(seg),
-            }
-        }
-        blockdec_obs::counter("store.scan.segments_pruned").add(stats.segments_pruned as u64);
-        blockdec_obs::counter("store.scan.bloom_skip").add(stats.bloom_skips as u64);
-
+        let (selected, mut stats) = self.select_segments(pred);
         let threads = effective_scan_threads(opts.threads, selected.len());
         let backend = self.store.as_ref();
         let pages = &self.pages;
@@ -828,9 +799,9 @@ impl BlockStore {
         for (i, p) in partials.iter().enumerate() {
             blockdec_obs::debug!(
                 thread = i,
-                segments = p.segments_decoded,
-                rows = p.rows_decoded,
-                bytes = p.bytes_decoded;
+                segments = p.tally.segments_decoded,
+                rows = p.tally.rows_decoded,
+                bytes = p.tally.bytes_decoded;
                 "columnar decode worker done"
             );
         }
@@ -841,9 +812,9 @@ impl BlockStore {
         let mut last_height: Option<u64> = None;
         let mut disorder: Option<(u64, u64)> = None;
         for p in &partials {
-            stats.segments_skipped += p.skipped;
+            stats.segments_skipped += p.tally.skipped;
             stats.rows_returned += p.rows_matched;
-            stats.pages_pruned += p.pages_pruned;
+            stats.pages_pruned += p.tally.pages_pruned;
             if disorder.is_none() {
                 // Boundary disorder (last row of the previous chunk vs
                 // first accepted row of this one) is observed before any
@@ -902,15 +873,12 @@ impl BlockStore {
         Ok((cols, stats))
     }
 
-    /// Cache `(hits, misses)` counters.
+    /// `(hits, misses)` of the store's one cache, the byte-range
+    /// [`PageCache`] that pruned row and columnar scans read through
+    /// (the same counts as [`BlockStore::page_cache_stats`]).
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-
-    /// Decoded-segment cache configuration and occupancy:
-    /// `(capacity_segments, resident_bytes)`.
-    pub fn segment_cache_usage(&self) -> (usize, u64) {
-        (self.cache.capacity(), self.cache.resident_bytes())
+        let stats = self.pages.stats();
+        (stats.hits, stats.misses)
     }
 
     /// Backend page-cache counters and configuration.
@@ -962,14 +930,13 @@ impl BlockStore {
 
     /// Repair the on-disk store (see [`crate::StoreDoctor::repair`])
     /// and resynchronize this handle with the repaired state: the
-    /// manifest and dictionary are reloaded and the segment cache is
-    /// invalidated so no quarantined segment is ever served from
+    /// manifest and dictionary are reloaded and the page cache is
+    /// cleared so no byte of a quarantined segment is ever served from
     /// memory.
     pub fn repair(&mut self) -> Result<crate::doctor::RepairOutcome> {
         let outcome = crate::doctor::StoreDoctor::with_backend(self.store.clone()).repair()?;
         self.manifest = Manifest::load(self.store.as_ref())?;
         self.registry = load_dictionary(self.store.as_ref())?;
-        self.cache.invalidate();
         self.pages.clear();
         self.last_height = self
             .active
@@ -993,10 +960,10 @@ impl BlockStore {
     }
 
     /// Execute one compaction pass under `policy` over the sealed
-    /// segments. The decoded-segment cache needs no invalidation:
-    /// replacement segments get fresh file names and cache keys carry
-    /// the content CRC, so superseded entries are simply never addressed
-    /// again and age out of the LRU.
+    /// segments. The page cache needs no invalidation: replacement
+    /// segments get fresh file names and cache keys carry the content
+    /// CRC, so superseded entries are simply never addressed again and
+    /// age out of the LRU.
     fn run_compaction(&mut self, policy: CompactionPolicy) -> Result<bool> {
         let compactor = Compactor::new(self.store.as_ref(), policy);
         Ok(compactor.run(&mut self.manifest)?.is_some())
@@ -1035,8 +1002,6 @@ struct ColumnarPartial {
     /// Rows matching the predicate (before the residual filter) — what
     /// `ScanStats::rows_returned` counts.
     rows_matched: u64,
-    /// Unreadable segments skipped (degraded mode only).
-    skipped: usize,
     /// Height of the first/last row accepted into `cols`.
     first_height: Option<u64>,
     last_height: Option<u64>,
@@ -1044,10 +1009,18 @@ struct ColumnarPartial {
     disorder: Option<(u64, u64)>,
     /// First decode error (strict mode): aborts the whole scan.
     error: Option<StoreError>,
+    tally: DecodeTally,
+}
+
+/// What one pass of [`decode_segments`] read and skipped.
+#[derive(Default)]
+struct DecodeTally {
+    /// Unreadable segments skipped (degraded mode only).
+    skipped: usize,
     segments_decoded: usize,
     rows_decoded: u64,
     bytes_decoded: u64,
-    /// CRC-framed column pages skipped via page-group zone maps.
+    /// CRC-framed column pages skipped via the page-group index.
     pages_pruned: u64,
 }
 
@@ -1057,7 +1030,8 @@ struct ColumnarPartial {
 /// groups are fetched — a pruned group never crosses the wire), while
 /// the unconstrained scan fetches the whole object once, uncached (it
 /// decodes every byte exactly once, so caching would only double the
-/// memory). Returns the segment's logical byte length plus the pruned
+/// memory). Returns the bytes read — the whole object, or the ranges a
+/// pruned decode fetched, from the cache or not — plus the pruned
 /// decode, leaving the decoded rows in `dec`.
 fn decode_one_segment(
     backend: &dyn ObjectStore,
@@ -1070,10 +1044,13 @@ fn decode_one_segment(
     if pred.can_prune() {
         let file_len = backend.size(&seg.file)?;
         let key = seg.cache_key();
-        let mut fetch =
-            |offset: u64, len: usize| pages.get_range(backend, &key, &seg.file, offset, len);
+        let mut read = 0u64;
+        let mut fetch = |offset: u64, len: usize| {
+            read += len as u64;
+            pages.get_range(backend, &key, &seg.file, offset, len)
+        };
         let pruned = dec.decode_pruned_ranged(&mut fetch, file_len, what, pred)?;
-        Ok((file_len, pruned))
+        Ok((read, pruned))
     } else {
         let bytes = get_retry(backend, &seg.file)?;
         let pruned = dec.decode_pruned(&bytes, what, pred)?;
@@ -1081,11 +1058,70 @@ fn decode_one_segment(
     }
 }
 
+/// The one segment loop behind every scan. Each segment in `segs` is
+/// decoded into one [`SegmentDecoder`], whose scratch buffers serve the
+/// whole run, and every decoded row that matches `pred` is handed to
+/// `visit`, assembled on the stack — no `Vec<RowRecord>` is ever built. An unreadable segment is the error under strict options
+/// (rows of earlier segments have already been visited) and is skipped
+/// and counted under [`ScanOptions::degraded`].
+fn decode_segments(
+    backend: &dyn ObjectStore,
+    pages: &PageCache,
+    segs: &[&SegmentMeta],
+    pred: &ScanPredicate,
+    opts: ScanOptions,
+    tally: &mut DecodeTally,
+    mut visit: impl FnMut(&RowRecord),
+) -> Result<()> {
+    let mut dec = SegmentDecoder::new();
+    for seg in segs {
+        let what = backend.describe(&seg.file);
+        let timer = blockdec_obs::Timer::new("store.segment_read");
+        let decoded = decode_one_segment(backend, pages, seg, &what, pred, &mut dec);
+        let (bytes_read, pruned) = match decoded {
+            Ok(v) => v,
+            Err(e) if opts.skip_corrupt => {
+                tally.skipped += 1;
+                blockdec_obs::counter("store.fault.segments_skipped").inc();
+                blockdec_obs::warn!(
+                    file = seg.file.clone();
+                    "degraded scan skipping unreadable segment: {e}"
+                );
+                continue;
+            }
+            Err(e) => return Err(e),
+        };
+        let elapsed_ms = timer.stop() * 1e3;
+        let n = pruned.rows;
+        tally.segments_decoded += 1;
+        tally.rows_decoded += n as u64;
+        tally.bytes_decoded += bytes_read;
+        tally.pages_pruned += pruned.pages_skipped() as u64;
+        blockdec_obs::counter("store.segments.read").inc();
+        blockdec_obs::counter("store.decode.segments").inc();
+        blockdec_obs::counter("store.decode.rows").add(n as u64);
+        blockdec_obs::counter("store.decode.bytes").add(bytes_read);
+        blockdec_obs::debug!(
+            file = seg.file.clone(),
+            rows = n,
+            groups_skipped = pruned.groups_skipped,
+            bytes = bytes_read,
+            elapsed_ms = elapsed_ms;
+            "decoded segment"
+        );
+        for i in 0..n {
+            let r = dec.row(i);
+            if pred.matches(&r) {
+                visit(&r);
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Decode a contiguous run of segments straight into a partial
-/// [`BlockColumns`]. One [`SegmentDecoder`] (and its scratch buffers) is
-/// reused across the whole chunk, and rows are assembled on the stack
-/// only to test the predicate and residual filter — no `Vec<RowRecord>`
-/// is ever built.
+/// [`BlockColumns`] through [`decode_segments`], applying the residual
+/// filter and recording what the stitch step needs.
 fn decode_columnar_chunk(
     backend: &dyn ObjectStore,
     pages: &PageCache,
@@ -1095,71 +1131,30 @@ fn decode_columnar_chunk(
     opts: ScanOptions,
 ) -> ColumnarPartial {
     let mut part = ColumnarPartial::default();
-    let mut dec = SegmentDecoder::new();
-    for seg in segs {
-        let what = backend.describe(&seg.file);
-        let timer = blockdec_obs::Timer::new("store.segment_read");
-        let decoded = decode_one_segment(backend, pages, seg, &what, pred, &mut dec);
-        let (byte_len, pruned) = match decoded {
-            Ok(v) => v,
-            Err(e) if opts.skip_corrupt => {
-                part.skipped += 1;
-                blockdec_obs::counter("store.fault.segments_skipped").inc();
-                blockdec_obs::warn!(
-                    file = seg.file.clone();
-                    "degraded scan skipping unreadable segment: {e}"
-                );
-                continue;
-            }
-            Err(e) => {
-                part.error = Some(e);
-                break;
-            }
-        };
-        let elapsed_ms = timer.stop() * 1e3;
-        let n = pruned.rows;
-        part.segments_decoded += 1;
-        part.rows_decoded += n as u64;
-        part.bytes_decoded += byte_len;
-        part.pages_pruned += pruned.pages_skipped() as u64;
-        blockdec_obs::counter("store.segments.read").inc();
-        blockdec_obs::counter("store.decode.segments").inc();
-        blockdec_obs::counter("store.decode.rows").add(n as u64);
-        blockdec_obs::counter("store.decode.bytes").add(byte_len);
-        blockdec_obs::debug!(
-            file = seg.file.clone(),
-            rows = n,
-            groups_skipped = pruned.groups_skipped,
-            bytes = byte_len,
-            elapsed_ms = elapsed_ms;
-            "decoded segment"
-        );
-        for i in 0..n {
-            let r = dec.row(i);
-            if !pred.matches(&r) {
-                continue;
-            }
-            part.rows_matched += 1;
-            if !keep(&r) {
-                continue;
-            }
-            if let Some(h) = part.last_height {
-                if r.height < h && part.disorder.is_none() {
-                    part.disorder = Some((h, r.height));
-                }
-            }
-            if part.first_height.is_none() {
-                part.first_height = Some(r.height);
-            }
-            part.last_height = Some(r.height);
-            part.cols.push_row(
-                r.height,
-                Timestamp(r.timestamp),
-                ProducerId(r.producer),
-                r.credit(),
-            );
+    let mut tally = DecodeTally::default();
+    let decoded = decode_segments(backend, pages, segs, pred, opts, &mut tally, |r| {
+        part.rows_matched += 1;
+        if !keep(r) {
+            return;
         }
-    }
+        if let Some(h) = part.last_height {
+            if r.height < h && part.disorder.is_none() {
+                part.disorder = Some((h, r.height));
+            }
+        }
+        if part.first_height.is_none() {
+            part.first_height = Some(r.height);
+        }
+        part.last_height = Some(r.height);
+        part.cols.push_row(
+            r.height,
+            Timestamp(r.timestamp),
+            ProducerId(r.producer),
+            r.credit(),
+        );
+    });
+    part.error = decoded.err();
+    part.tally = tally;
     part
 }
 
@@ -1626,24 +1621,30 @@ mod tests {
 
     #[test]
     fn cache_hits_on_repeated_scans() {
+        // A pruning predicate reads through the page cache: the first
+        // row scan fills it, a repeat is served from memory.
         let dir = tmp_dir("cache");
         let mut store = BlockStore::create(&dir).unwrap();
         let rows: Vec<RowRecord> = (0..10).map(|h| row(&mut store, h, "P")).collect();
         store.append_rows(&rows).unwrap();
         store.flush().unwrap();
-        store.scan(&ScanPredicate::all()).unwrap();
-        store.scan(&ScanPredicate::all()).unwrap();
+        let pred = ScanPredicate::all().heights(0, 9);
+        assert_eq!(store.scan(&pred).unwrap(), rows);
+        let (hits_warm, misses_warm) = store.cache_stats();
+        assert!(misses_warm >= 1);
+        assert_eq!(store.scan(&pred).unwrap(), rows);
         let (hits, misses) = store.cache_stats();
-        assert_eq!(misses, 1);
-        assert!(hits >= 1);
+        assert_eq!(misses, misses_warm, "a repeat scan must not fetch again");
+        assert_eq!(hits, hits_warm + misses_warm);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn compaction_never_serves_stale_cache_entries() {
-        // Regression: cache keys carry the content CRC, so a scan after
-        // compaction must re-load the rewritten segment (a miss, never
-        // a stale hit) even though no explicit invalidation happens.
+        // Regression: page-cache keys carry the content CRC, so a scan
+        // after compaction must fetch the rewritten segment (misses,
+        // never a stale hit) even though no explicit invalidation
+        // happens.
         let dir = tmp_dir("compact-cache");
         let mut store = BlockStore::create(&dir).unwrap();
         for batch in 0..4u64 {
@@ -1653,27 +1654,30 @@ mod tests {
             store.append_rows(&rows).unwrap();
             store.flush().unwrap();
         }
-        // Warm the cache on the pre-compaction layout.
-        let before = store.scan(&ScanPredicate::all()).unwrap();
+        // Warm the cache on the pre-compaction layout. Every segment is
+        // one page group, so each costs the same number of ranges.
+        let pred = ScanPredicate::all().heights(0, 39);
+        let before = store.scan(&pred).unwrap();
         let (_, misses_before) = store.cache_stats();
-        assert_eq!(misses_before, 4);
+        assert!(misses_before > 0 && misses_before % 4 == 0);
+        let per_segment = misses_before / 4;
 
         assert!(store.compact().unwrap());
-        let after = store.scan(&ScanPredicate::all()).unwrap();
+        let after = store.scan(&pred).unwrap();
         assert_eq!(before, after);
         let (_, misses_after) = store.cache_stats();
         assert_eq!(
             misses_after,
-            misses_before + 1,
-            "the compacted segment must be loaded fresh, not served stale"
+            misses_before + per_segment,
+            "the compacted segment must be fetched fresh, not served stale"
         );
 
         // And repeat scans on the new layout hit the cache normally.
         let (hits_1, _) = store.cache_stats();
-        store.scan(&ScanPredicate::all()).unwrap();
+        assert_eq!(store.scan(&pred).unwrap(), after);
         let (hits_2, misses_2) = store.cache_stats();
         assert_eq!(misses_2, misses_after);
-        assert_eq!(hits_2, hits_1 + 1);
+        assert_eq!(hits_2, hits_1 + per_segment);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1726,6 +1730,10 @@ mod tests {
         assert_eq!(cols.len(), 101);
         assert_eq!(stats.pages_pruned, 14, "two of three page groups skipped");
         assert_eq!(stats.segments_pruned, 0);
+        // The row scan shares the decode loop and reports the same.
+        let (rows_hit, row_stats) = store.scan_with_stats(&pred).unwrap();
+        assert_eq!(rows_hit.len(), 101);
+        assert_eq!(row_stats, stats);
 
         // The full scan prunes nothing and says so.
         let (cols, stats) = store
